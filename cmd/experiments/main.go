@@ -295,8 +295,8 @@ func run(args []string) (code int) {
 			return fail(err)
 		}
 	}
-	// The grid sections print through the shared renderer so a distributed
-	// run of the same grids reproduces these bytes exactly.
+	// The grid sections print through the package renderer, which holds
+	// the one copy of their bytes.
 	if needUni {
 		fmt.Print(experiments.RenderUniSections(sel, uni))
 	}

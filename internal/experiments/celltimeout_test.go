@@ -16,9 +16,9 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 	cfg := journalTestConfig()
 	cfg.CellTimeout = time.Nanosecond // unmeetable: every attempt expires
 
-	rec, err := RunUniCell(context.Background(), cfg, 0)
+	rec, err := runUniCell(context.Background(), cfg, 0)
 	if err != nil {
-		t.Fatalf("RunUniCell: %v (a deadline is a cell failure, not an error)", err)
+		t.Fatalf("runUniCell: %v (a deadline is a cell failure, not an error)", err)
 	}
 	if !rec.Failed {
 		t.Fatal("cell beat a 1ns wall-clock budget")
@@ -48,9 +48,9 @@ func TestCellTimeoutFailsMPCell(t *testing.T) {
 	cfg.Apps = []string{"ocean"}
 	cfg.CellTimeout = time.Nanosecond
 
-	rec, err := RunMPCell(context.Background(), cfg, 0)
+	rec, err := runMPCell(context.Background(), cfg, 0)
 	if err != nil {
-		t.Fatalf("RunMPCell: %v (a deadline is a cell failure, not an error)", err)
+		t.Fatalf("runMPCell: %v (a deadline is a cell failure, not an error)", err)
 	}
 	if !rec.Failed || !rec.Retried {
 		t.Fatalf("want failed+retried deadline record, got %+v", rec)
@@ -65,12 +65,12 @@ func TestCellTimeoutFailsMPCell(t *testing.T) {
 // not simulated behavior, so it must not perturb fingerprints).
 func TestCellTimeoutGenerousBudgetIsInvisible(t *testing.T) {
 	cfg := journalTestConfig()
-	ref, err := RunUniCell(context.Background(), cfg, 1)
+	ref, err := runUniCell(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.CellTimeout = time.Hour
-	got, err := RunUniCell(context.Background(), cfg, 1)
+	got, err := runUniCell(context.Background(), cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +88,9 @@ func TestCellTimeoutGenerousBudgetIsInvisible(t *testing.T) {
 	}
 }
 
-// The per-cell helpers must agree with the grid runner cell-for-cell:
-// the distributed service runs cells through RunUniCell/RunMPCell and
-// assembles with AssembleUni/AssembleMP, and byte-identity with a
-// single-process run rests on this equivalence.
+// The per-cell helper must agree with the grid runner cell-for-cell:
+// cells run one at a time and folded with AssembleUni give the grid
+// runner's bytes, whatever order or process produced the records.
 func TestCellHelpersMatchGridRunner(t *testing.T) {
 	cfg := journalTestConfig()
 	ref, err := RunUniprocessorCtx(context.Background(), cfg)
@@ -107,7 +106,7 @@ func TestCellHelpersMatchGridRunner(t *testing.T) {
 	}
 	recs := make([]*UniCellRecord, n)
 	for i := range recs {
-		if recs[i], err = RunUniCell(context.Background(), cfg, i); err != nil {
+		if recs[i], err = runUniCell(context.Background(), cfg, i); err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
 	}
@@ -124,7 +123,7 @@ func TestCellHelpersMatchGridRunner(t *testing.T) {
 		t.Error("cell-by-cell Table 7 differs from the grid runner's")
 	}
 
-	if _, err := RunUniCell(context.Background(), cfg, n); err == nil {
+	if _, err := runUniCell(context.Background(), cfg, n); err == nil {
 		t.Error("out-of-range cell index did not error")
 	}
 }

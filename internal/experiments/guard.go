@@ -8,6 +8,11 @@ import (
 	"repro/internal/guard"
 )
 
+// cellAttempts is how many times a grid cell runs before it is declared
+// failed: a budget trip (liveness watchdog or per-cell deadline) on the
+// first attempt earns one immediate re-run at a doubled budget.
+const cellAttempts = 2
+
 // cellGuard resolves the grid-level hardening options for one cell: a
 // non-zero chaos seed is decorrelated per cell with DeriveSeed, so each
 // cell perturbs a private stream and results stay independent of

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"runtime/debug"
 	"sort"
@@ -45,9 +46,7 @@ const (
 const JournalVersion = 2
 
 // Grid names tagging journal cell records, so one journal can hold both
-// grids of a cmd/experiments run without index collisions. Exported
-// because the distributed experiment service addresses cells by
-// (grid, index) across the wire with the same keys.
+// grids of a cmd/experiments run without index collisions.
 const (
 	GridWorkstation    = "workstation"
 	GridMultiprocessor = "multiprocessor"
@@ -62,10 +61,9 @@ const (
 //     hard error (*FingerprintError).
 //   - Binary identity (Binary): recorded in the header and compared
 //     separately. Results are a function of the config, not of which
-//     binary ran it — cmd/experiments, cmd/expworker and a rebuilt tree
-//     all simulate identically — so a mismatch is refusable-by-default
-//     (*BinaryMismatchError) but explicitly overridable
-//     (-allow-binary-mismatch; the service coordinator always allows it).
+//     binary ran it — a rebuilt tree simulates identically — so a
+//     mismatch is refusable-by-default (*BinaryMismatchError) but
+//     explicitly overridable (-allow-binary-mismatch).
 type Fingerprint struct {
 	Version int        `json:"version"`
 	Binary  string     `json:"binary"`
@@ -89,8 +87,9 @@ type CheckpointStamp struct {
 // NewFingerprint builds the fingerprint for a cmd/experiments run over
 // the given configs (either may be nil) and -only selection (sorted into
 // a canonical order here, so callers need not agree on one). Parallelism
-// is zeroed in the copies: results are byte-identical at every -j, so a
-// resume at a different worker count is legitimate.
+// is not part of it (the field is excluded from JSON): results are
+// byte-identical at every -j, so a resume at a different worker count is
+// legitimate.
 func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	sortedOnly := append([]string(nil), only...)
 	sort.Strings(sortedOnly)
@@ -100,7 +99,6 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	fp := Fingerprint{Version: JournalVersion, Binary: binaryVersion(), Only: sortedOnly}
 	if uni != nil {
 		u := *uni
-		u.Parallelism = 0
 		u.Journal = nil
 		if !u.Checkpoint.Disabled {
 			fp.Checkpoint = &CheckpointStamp{CodecVersion: snapshot.Version}
@@ -110,7 +108,6 @@ func NewFingerprint(uni *UniConfig, mp *MPConfig, only []string) Fingerprint {
 	}
 	if mp != nil {
 		m := *mp
-		m.Parallelism = 0
 		m.Journal = nil
 		fp.MP = &m
 	}
@@ -170,9 +167,8 @@ func (e *FingerprintError) Error() string {
 
 // BinaryMismatchError is returned by OpenJournal when a journal's config
 // identity matches but it was written by a different binary (e.g. a
-// cmd/expworker journal resumed under cmd/experiments, or a rebuilt
-// tree). Results depend only on the configuration, so the caller may
-// deliberately proceed with OpenJournalAllow / -allow-binary-mismatch;
+// rebuilt tree). Results depend only on the configuration, so the caller
+// may deliberately proceed with OpenJournalAllow / -allow-binary-mismatch;
 // refusing is merely the conservative default.
 type BinaryMismatchError struct {
 	Path string
@@ -200,8 +196,7 @@ type journalLine struct {
 // UniCellRecord is the journaled outcome of one workstation grid cell —
 // everything RunUniprocessorCtx needs to rebuild the cell without
 // re-simulating. Failed cells are journaled too (Result nil), so a
-// resume does not re-run a deterministic failure. It is also the wire
-// form a service worker reports for a workstation cell.
+// resume does not re-run a deterministic failure.
 type UniCellRecord struct {
 	Result     *workstation.Result `json:"result,omitempty"`
 	Failed     bool                `json:"failed,omitempty"`
@@ -212,8 +207,7 @@ type UniCellRecord struct {
 
 // MPCellRecord is the journaled outcome of one multiprocessor grid cell.
 // It mirrors mp.Result minus the functional memory image (megabytes per
-// cell, and MPCell only consumes the digest). It is also the wire form
-// a service worker reports for a multiprocessor cell.
+// cell, and MPCell only consumes the digest).
 type MPCellRecord struct {
 	Cycles     int64                `json:"cycles,omitempty"`
 	Completed  bool                 `json:"completed,omitempty"`
@@ -243,7 +237,7 @@ type Journal struct {
 	f        faultfs.File
 	fs       faultfs.FS
 	path     string
-	cells    map[journalKey]json.RawMessage
+	cells    map[journalKey]json.RawMessage // loaded at open, read-only after
 	appended int
 	replayed int
 	writeErr error
@@ -283,7 +277,7 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 	if err != nil {
 		return nil, fmt.Errorf("experiments: create journal: %w", err)
 	}
-	j := &Journal{f: f, fs: fsys, path: path, cells: map[journalKey]json.RawMessage{}}
+	j := &Journal{f: f, fs: fsys, path: path}
 	fpData, err := json.Marshal(fp)
 	if err != nil {
 		f.Close()
@@ -304,11 +298,12 @@ func CreateJournalFS(fsys faultfs.FS, path string, fp Fingerprint) (*Journal, er
 //
 // Corruption tolerance: a crash mid-append leaves at most one torn tail
 // — a truncated line, trailing garbage, or a record whose payload hash
-// does not match. Reading stops at the first such record; the cells
-// before it replay, the torn cell simply re-runs, and the file is
-// truncated back to its last intact record so new appends start on a
-// clean line. A missing or corrupt *header* is not tolerated: there is
-// nothing safe to resume.
+// does not match. A final line without its newline is torn too, even if
+// its payload is intact: its append never completed. Reading stops at
+// the first such record; the cells before it replay, the torn cell
+// simply re-runs, and the file is truncated back to its last intact
+// record so new appends start on a clean line. A missing or corrupt
+// *header* is not tolerated: there is nothing safe to resume.
 func OpenJournal(path string, fp Fingerprint) (*Journal, error) {
 	return OpenJournalAllow(path, fp, false, nil)
 }
@@ -336,10 +331,16 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 	cells := map[journalKey]json.RawMessage{}
 	var validOff int64
 	sawHeader := false
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		raw := sc.Bytes()
+	r := bufio.NewReader(f)
+	for {
+		raw, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			break // an unterminated tail, if any, is a torn append
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: read journal: %w", err)
+		}
+		raw = raw[:len(raw)-1]
 		var line journalLine
 		if err := json.Unmarshal(raw, &line); err != nil {
 			break // torn or garbage line: everything from here on is lost
@@ -375,7 +376,7 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 			validOff += int64(len(raw)) + 1
 			continue
 		}
-		if line.Type != "cell" || line.Index < 0 || DataHash(line.Data) != line.Hash {
+		if line.Type != "cell" || line.Index < 0 || dataHash(line.Data) != line.Hash {
 			break // unknown type or torn payload: treat as incomplete
 		}
 		cells[journalKey{line.Grid, line.Index}] = line.Data
@@ -397,12 +398,10 @@ func OpenJournalAllowFS(fsys faultfs.FS, path string, fp Fingerprint, allowBinar
 	return &Journal{f: af, fs: fsys, path: path, cells: cells}, nil
 }
 
-// DataHash digests a cell record's payload (FNV-1a, hex) so a torn
+// dataHash digests a cell record's payload (FNV-1a, hex) so a torn
 // append — payload truncated but the line still parsing as JSON — is
-// detected and treated as "cell incomplete". Exported because the
-// distributed coordinator dedups duplicate cell completions by the same
-// hash, so a journaled record and a late re-delivery compare directly.
-func DataHash(data []byte) string {
+// detected and treated as "cell incomplete".
+func dataHash(data []byte) string {
 	h := fnv.New64a()
 	h.Write(data)
 	return hex.EncodeToString(h.Sum(nil))
@@ -421,8 +420,6 @@ func (j *Journal) Cells() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	return len(j.cells)
 }
 
@@ -490,28 +487,12 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// ReplayRaw returns the raw journaled payload for (grid, index), if an
-// intact record was loaded. The service coordinator uses it to rebuild
-// its dedup hashes and completion stream across a restart without a
-// decode/re-encode round trip.
-func (j *Journal) ReplayRaw(grid string, index int) (json.RawMessage, bool) {
-	if j == nil {
-		return nil, false
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	raw, ok := j.cells[journalKey{grid, index}]
-	return raw, ok
-}
-
 // Replay looks up (grid, index) and decodes it into rec, counting a hit.
 func (j *Journal) Replay(grid string, index int, rec any) bool {
 	if j == nil {
 		return false
 	}
-	j.mu.Lock()
 	raw, ok := j.cells[journalKey{grid, index}]
-	j.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -524,14 +505,13 @@ func (j *Journal) Replay(grid string, index int, rec any) bool {
 	return true
 }
 
-// Record appends (grid, index, payload) as one fsynced line and keeps
-// the in-memory cell map current, so ReplayRaw sees records appended in
-// this process as well as ones replayed at open — the service
-// coordinator assembles final results from that map. Errors are sticky
-// and typed: after the first failed append (a short write OR a failed
-// Sync — either way the record is not durably on disk) the journal
-// stops accepting records, the cell map is NOT updated, and Err()
-// reports an *AppendError identifying the cell.
+// Record appends (grid, index, payload) as one fsynced line. The replay
+// map is not updated: each cell is recorded at most once per run, and
+// only a later OpenJournal reads it back. Errors are sticky and typed:
+// after the first failed append (a short write OR a failed Sync —
+// either way the record is not durably on disk) the journal stops
+// accepting records and Err() reports an *AppendError identifying the
+// cell.
 func (j *Journal) Record(grid string, index int, payload any) {
 	if j == nil {
 		return
@@ -545,7 +525,7 @@ func (j *Journal) Record(grid string, index int, payload any) {
 		j.mu.Unlock()
 		return
 	}
-	line := journalLine{Type: "cell", Hash: DataHash(data), Grid: grid, Index: index, Data: data}
+	line := journalLine{Type: "cell", Hash: dataHash(data), Grid: grid, Index: index, Data: data}
 
 	j.mu.Lock()
 	if j.writeErr != nil || j.f == nil {
@@ -557,7 +537,6 @@ func (j *Journal) Record(grid string, index int, payload any) {
 		j.mu.Unlock()
 		return
 	}
-	j.cells[journalKey{grid, index}] = data
 	j.appended++
 	n, hook := j.appended, j.onAppend
 	j.mu.Unlock()

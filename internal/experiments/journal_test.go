@@ -438,11 +438,11 @@ func TestNilJournalIsInert(t *testing.T) {
 	}
 }
 
-// The failed-fsync satellite: a Record whose bytes reach the file but
-// whose Sync fails must (a) surface a typed *AppendError, (b) not enter
-// the replay map, and (c) leave a journal that — after the crash the
-// failed barrier implies — reopens to exactly the pre-append state,
-// with the un-durable tail truncated away.
+// A Record whose bytes reach the file but whose Sync fails must (a)
+// surface a typed *AppendError, (b) refuse every later append, and (c)
+// leave a journal that — after the crash the failed barrier implies —
+// reopens to exactly the pre-append state, with the un-durable tail
+// truncated away.
 func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 	cfg := journalTestConfig()
 	fp := NewFingerprint(&cfg, nil, nil)
@@ -473,13 +473,10 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 	if !errors.Is(ae, syscall.EIO) {
 		t.Errorf("AppendError does not unwrap to the injected EIO: %v", ae)
 	}
-	if _, ok := j.ReplayRaw(GridWorkstation, 2); ok {
-		t.Error("un-durable cell entered the replay map")
-	}
 	// Sticky: later appends are refused outright.
 	j.Record(GridWorkstation, 3, UniCellRecord{Failed: true, Failure: "cell 3"})
-	if _, ok := j.ReplayRaw(GridWorkstation, 3); ok {
-		t.Error("append after sticky error was accepted")
+	if got := j.Appended(); got != 2 {
+		t.Errorf("Appended() = %d after the failed sync, want the 2 clean appends", got)
 	}
 
 	// Crash now. The record's bytes may be sitting volatile in the file;
@@ -499,8 +496,11 @@ func TestJournalFailedSyncRecoversPreAppendState(t *testing.T) {
 			t.Errorf("cell %d did not replay intact: %+v", i, rec)
 		}
 	}
-	if _, ok := j2.ReplayRaw(GridWorkstation, 2); ok {
-		t.Error("cell with failed sync survived the crash")
+	for i := 2; i <= 3; i++ {
+		var rec UniCellRecord
+		if j2.Replay(GridWorkstation, i, &rec) {
+			t.Errorf("cell %d replayed after the crash, but its append was never durable: %+v", i, rec)
+		}
 	}
 	// And the recovered journal appends cleanly where it left off.
 	j2.Record(GridWorkstation, 2, UniCellRecord{Failed: true, Failure: "cell 2 rerun"})
@@ -535,7 +535,6 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen over the torn tail: %v", err)
 	}
-	defer j2.Close()
 	if got := j2.Cells(); got != 1 {
 		t.Fatalf("recovered %d cells, want 1", got)
 	}
@@ -543,8 +542,145 @@ func TestJournalTornWriteRecovers(t *testing.T) {
 	if err := j2.Err(); err != nil {
 		t.Fatalf("append after torn-tail truncation: %v", err)
 	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, err := OpenJournalAllowFS(mem, path, fp, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
 	var rec UniCellRecord
-	if !j2.Replay(GridWorkstation, 1, &rec) || rec.Failure != "cell 1 rerun" {
+	if !j3.Replay(GridWorkstation, 1, &rec) || rec.Failure != "cell 1 rerun" {
 		t.Errorf("re-recorded cell = %+v", rec)
 	}
+}
+
+// A final record that lost only its newline is a torn append: reopening
+// drops it without growing the file, so the next append starts on a
+// clean line and a later reopen sees every record.
+func TestJournalUnterminatedTailRecovers(t *testing.T) {
+	cfg := journalTestConfig()
+	fp := NewFingerprint(&cfg, nil, nil)
+	path := filepath.Join(t.TempDir(), "grid.journal")
+
+	j, err := CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record(GridWorkstation, 0, UniCellRecord{Failed: true, Failure: "cell 0"})
+	j.Record(GridWorkstation, 1, UniCellRecord{Failed: true, Failure: "cell 1"})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := int64(len(data) - 1) // drop only the final '\n'
+	if err := os.Truncate(path, cut); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := OpenJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j2.Cells(); got != 1 {
+		t.Errorf("reopen over an unterminated tail loaded %d cells, want 1 (the tail re-runs)", got)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() > cut {
+		t.Fatalf("reopen grew the journal: size %v, err %v; want <= %d", fi.Size(), err, cut)
+	}
+	j2.Record(GridWorkstation, 1, UniCellRecord{Failed: true, Failure: "cell 1 rerun"})
+	j2.Record(GridWorkstation, 2, UniCellRecord{Failed: true, Failure: "cell 2"})
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j3, err := OpenJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if got := j3.Cells(); got != 3 {
+		t.Fatalf("second reopen loaded %d cells, want 3", got)
+	}
+	for i, want := range []string{"cell 0", "cell 1 rerun", "cell 2"} {
+		var rec UniCellRecord
+		if !j3.Replay(GridWorkstation, i, &rec) || rec.Failure != want {
+			t.Errorf("cell %d = %+v, want failure %q", i, rec, want)
+		}
+	}
+}
+
+// A read error while loading the journal is returned, not mistaken for a
+// torn tail: truncating there would destroy durable records.
+func TestJournalReadErrorIsReturned(t *testing.T) {
+	cfg := journalTestConfig()
+	fp := NewFingerprint(&cfg, nil, nil)
+	path := filepath.Join(t.TempDir(), "grid.journal")
+	j, err := CreateJournal(path, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Record(GridWorkstation, 0, UniCellRecord{Failed: true, Failure: "cell 0"})
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The read fails partway through cell 0's record, which is durable.
+	readErr := errors.New("injected read failure")
+	header := strings.IndexByte(string(before), '\n') + 1
+	fsys := failingReadFS{faultfs.OS(), header + 10, readErr}
+	_, err = OpenJournalAllowFS(fsys, path, fp, false, nil)
+	if !errors.Is(err, readErr) {
+		t.Fatalf("OpenJournal = %v, want the read error", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(before) {
+		t.Error("a failed read truncated the journal")
+	}
+}
+
+// failingReadFS opens files that read their first n bytes and then fail
+// every Read with err.
+type failingReadFS struct {
+	faultfs.FS
+	n   int
+	err error
+}
+
+func (f failingReadFS) OpenFile(path string, flag int, perm os.FileMode) (faultfs.File, error) {
+	file, err := f.FS.OpenFile(path, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &failingReadFile{file, f.n, f.err}, nil
+}
+
+type failingReadFile struct {
+	faultfs.File
+	left int
+	err  error
+}
+
+func (f *failingReadFile) Read(p []byte) (int, error) {
+	if f.left <= 0 {
+		return 0, f.err
+	}
+	if len(p) > f.left {
+		p = p[:f.left]
+	}
+	n, err := f.File.Read(p)
+	f.left -= n
+	return n, err
 }

@@ -29,8 +29,9 @@ type MPConfig struct {
 
 	// Parallelism bounds how many simulation cells run concurrently:
 	// 0 selects DefaultParallelism (GOMAXPROCS), 1 forces the serial
-	// path. Results are byte-identical at every setting.
-	Parallelism int
+	// path. Results are byte-identical at every setting, so it is
+	// excluded from JSON: it never enters -json output or fingerprints.
+	Parallelism int `json:"-"`
 
 	// CellTimeout bounds each cell's wall-clock time (-cell-timeout). A
 	// cell that exceeds it fails with a typed guard.OpDeadline error —
@@ -192,24 +193,9 @@ func mpSpecs(cfg MPConfig) ([]mpSpec, error) {
 	return specs, nil
 }
 
-// MPGridSize returns the number of cells in cfg's multiprocessor grid —
-// the valid index range for RunMPCell and AssembleMP.
-func MPGridSize(cfg MPConfig) (int, error) {
-	specs, err := mpSpecs(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return len(specs), nil
-}
-
-// RunMPCell simulates one cell of cfg's multiprocessor grid and returns
-// its journal/wire record — the single copy of the per-cell policy, as
-// RunUniCell is for the workstation grid. A liveness-watchdog trip or
-// per-cell deadline is retried once at doubled budgets (cycle limit and
-// watchdog window both double); cycle-budget exhaustion is NOT retried —
-// the cell already ran to the configured limit. The only non-nil error
-// returns are a bad index and a cancellation of ctx itself.
-func RunMPCell(ctx context.Context, cfg MPConfig, index int) (*MPCellRecord, error) {
+// runMPCell simulates one cell of cfg's multiprocessor grid by index
+// and returns its journal record; see runMPCellSpec for the policy.
+func runMPCell(ctx context.Context, cfg MPConfig, index int) (*MPCellRecord, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -223,6 +209,12 @@ func RunMPCell(ctx context.Context, cfg MPConfig, index int) (*MPCellRecord, err
 	return runMPCellSpec(ctx, cfg, index, specs[index])
 }
 
+// runMPCellSpec is the per-cell policy of the multiprocessor grid, as
+// runUniCellSpec is for the workstation grid. A liveness-watchdog trip
+// or per-cell deadline is retried once at doubled budgets (cycle limit
+// and watchdog window both double); cycle-budget exhaustion is NOT
+// retried — the cell already ran to the configured limit. The only
+// non-nil error return is a cancellation of ctx itself.
 func runMPCellSpec(ctx context.Context, cfg MPConfig, i int, sp mpSpec) (*MPCellRecord, error) {
 	attempt := func(attempt int) (*mp.Result, error) {
 		mcfg := mp.DefaultConfig(sp.scheme, sp.contexts)
@@ -267,13 +259,12 @@ func runMPCellSpec(ctx context.Context, cfg MPConfig, i int, sp mpSpec) (*MPCell
 		}
 		return r, nil
 	}
-	policy := guard.GridRetry()
 	retried := false
 	var r *mp.Result
 	var err error
 	for n := 1; ; n++ {
 		r, err = attempt(n)
-		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || !policy.Allowed(n+1) {
+		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || n >= cellAttempts {
 			break
 		}
 		retried = true

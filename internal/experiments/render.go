@@ -7,26 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-// Section rendering shared by cmd/experiments and the distributed
-// experiment service. Byte-identity between a single-process run and a
-// distributed one is a correctness bar (the crash harness diffs the two),
-// so the exact bytes each section contributes to stdout live here, in one
-// copy, instead of being re-derived by each driver.
-
-// GridSections are the section names backed by the two grids — the
-// subset of cmd/experiments' -only vocabulary a distributed job can
-// request.
-var GridSections = []string{"table7", "fig6", "fig7", "table10", "fig8", "fig9"}
-
-// IsGridSection reports whether name is one of GridSections.
-func IsGridSection(name string) bool {
-	for _, s := range GridSections {
-		if s == name {
-			return true
-		}
-	}
-	return false
-}
+// Section rendering for the two grids: the exact bytes each section
+// contributes to cmd/experiments' stdout live here, in one copy, so every
+// caller that renders a grid result prints what cmd/experiments prints.
 
 // NeedUni reports whether the selection requires the workstation grid.
 func NeedUni(sel func(string) bool) bool {

@@ -31,8 +31,9 @@ type UniConfig struct {
 
 	// Parallelism bounds how many simulation cells run concurrently:
 	// 0 selects DefaultParallelism (GOMAXPROCS), 1 forces the serial
-	// path. Results are byte-identical at every setting.
-	Parallelism int
+	// path. Results are byte-identical at every setting, so it is
+	// excluded from JSON: it never enters -json output or fingerprints.
+	Parallelism int `json:"-"`
 
 	// CellTimeout bounds each cell's wall-clock time (-cell-timeout). A
 	// cell that exceeds it fails with a typed guard.OpDeadline error —
@@ -175,8 +176,8 @@ func (r *UniResult) MeanGainN(s core.Scheme, n int) (mean float64, used, total i
 
 // uniSpec addresses one cell of the workstation grid: the cell at index
 // i of uniSpecs(cfg) is the same (workload, scheme, contexts) simulation
-// everywhere — in-process pool, journal replay, and the distributed
-// service all key cells by this index.
+// everywhere — the pool, the derived seed and journal replay all key
+// cells by this index.
 type uniSpec struct {
 	workload string
 	kernels  []apps.Kernel
@@ -208,7 +209,7 @@ func uniSpecs(cfg UniConfig) ([]uniSpec, error) {
 }
 
 // UniGridSize returns the number of cells in cfg's workstation grid —
-// the valid index range for RunUniCell and AssembleUni.
+// the number of records AssembleUni takes.
 func UniGridSize(cfg UniConfig) (int, error) {
 	specs, err := uniSpecs(cfg)
 	if err != nil {
@@ -217,16 +218,9 @@ func UniGridSize(cfg UniConfig) (int, error) {
 	return len(specs), nil
 }
 
-// RunUniCell simulates one cell of cfg's workstation grid and returns
-// its journal/wire record. It is the single copy of the per-cell policy
-// every driver shares — cmd/experiments' pool and the distributed
-// service's workers produce byte-identical records because both call
-// this: per-index derived seed and chaos stream, one deterministic
-// retry at a doubled budget when the first attempt trips the liveness
-// watchdog or the per-cell deadline, failures folded into the record.
-// The only non-nil error returns are a bad index and a cancellation of
-// ctx itself (the cell was drained, not diagnosed).
-func RunUniCell(ctx context.Context, cfg UniConfig, index int) (*UniCellRecord, error) {
+// runUniCell simulates one cell of cfg's workstation grid by index and
+// returns its journal record; see runUniCellSpec for the policy.
+func runUniCell(ctx context.Context, cfg UniConfig, index int) (*UniCellRecord, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -240,6 +234,12 @@ func RunUniCell(ctx context.Context, cfg UniConfig, index int) (*UniCellRecord, 
 	return runUniCellSpec(ctx, cfg, index, specs[index])
 }
 
+// runUniCellSpec is the per-cell policy of the workstation grid:
+// per-index derived seed and chaos stream, one deterministic retry at a
+// doubled budget when the first attempt trips the liveness watchdog or
+// the per-cell deadline, failures folded into the record. The only
+// non-nil error return is a cancellation of ctx itself (the cell was
+// drained, not diagnosed).
 func runUniCellSpec(ctx context.Context, cfg UniConfig, i int, sp uniSpec) (*UniCellRecord, error) {
 	build := func(attempt int) workstation.Config {
 		wcfg := workstation.DefaultConfig(sp.scheme, sp.contexts)
@@ -263,13 +263,12 @@ func runUniCellSpec(ctx context.Context, cfg UniConfig, i int, sp uniSpec) (*Uni
 		r, err := workstation.RunCtx(cellCtx, sp.kernels, build(attempt))
 		return r, classifyDeadline(ctx, cellCtx, budget, err)
 	}
-	policy := guard.GridRetry()
 	retried := false
 	var r *workstation.Result
 	var err error
 	for attempt := 1; ; attempt++ {
 		r, err = run(attempt)
-		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || !policy.Allowed(attempt+1) {
+		if err == nil || !guard.IsBudgetTrip(err) || ctx.Err() != nil || attempt >= cellAttempts {
 			break
 		}
 		retried = true
@@ -287,11 +286,9 @@ func runUniCellSpec(ctx context.Context, cfg UniConfig, i int, sp uniSpec) (*Uni
 
 // AssembleUni folds index-ordered cell records into the evaluation
 // result: gains against each workload's single-context baseline, failure
-// and skip counts. A nil record is a cell that never completed
-// (interrupted, or still unfinished in a distributed run) and renders as
-// SKIP. Assembly is pure — the distributed coordinator calls it over
-// journal-replayed records and gets the bytes a single-process run
-// prints.
+// and skip counts. A nil record is a cell that never completed (the run
+// was interrupted) and renders as SKIP. Assembly is pure: the same
+// records give the same result however they were produced.
 func AssembleUni(cfg UniConfig, recs []*UniCellRecord) (*UniResult, error) {
 	specs, err := uniSpecs(cfg)
 	if err != nil {

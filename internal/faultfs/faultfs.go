@@ -1,10 +1,10 @@
-// Package faultfs is the seeded disk-fault layer under the repository's
+// Package faultfs is the deterministic disk-fault layer under the repository's
 // durability claims. Every component that promises crash safety — the
 // fsync'd cell journal (internal/experiments), the atomic artifact
 // writer (metrics.WriteFileAtomic), the checkpoint codec's SaveFile
 // (internal/snapshot) — performs its file I/O through the small FS
-// interface here, so a torture harness can interpose deterministic
-// failures exactly where production code claims to survive them:
+// interface here, so tests can interpose deterministic failures exactly
+// where production code claims to survive them:
 //
 //   - torn writes (a Write persists only its first k bytes and errors),
 //   - failed Sync (fsync returns EIO; data written since the last

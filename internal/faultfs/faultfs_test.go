@@ -261,28 +261,6 @@ func TestInjectorPathFilter(t *testing.T) {
 	}
 }
 
-// Same seed, same schedule: PlanFromSeed is a pure function, and two
-// injectors with the same plan fire identically on the same op stream.
-func TestPlanFromSeedDeterministic(t *testing.T) {
-	for seed := int64(1); seed < 50; seed++ {
-		a := PlanFromSeed(seed, AllDiskFaults)
-		b := PlanFromSeed(seed, AllDiskFaults)
-		if a != b {
-			t.Fatalf("seed %d: plans differ: %+v vs %+v", seed, a, b)
-		}
-		if a.TornWriteAt == 0 || a.FailSyncAt == 0 || a.ENOSPCAfterBytes == 0 {
-			t.Fatalf("seed %d: full mask left a class unarmed: %+v", seed, a)
-		}
-	}
-	if PlanFromSeed(7, 0) != (Plan{}) {
-		t.Error("empty mask armed something")
-	}
-	one := PlanFromSeed(7, 1<<FaultFailedSync)
-	if one.TornWriteAt != 0 || one.ENOSPCAfterBytes != 0 || one.FailSyncAt == 0 {
-		t.Errorf("single-class mask produced %+v", one)
-	}
-}
-
 // The OS passthrough really passes through, including SyncDir on a real
 // directory.
 func TestOSPassthrough(t *testing.T) {

@@ -40,10 +40,6 @@ func (k FaultKind) String() string {
 	}
 }
 
-// DiskFaultKinds lists every injectable disk fault class, for coverage
-// accounting.
-var DiskFaultKinds = []FaultKind{FaultTornWrite, FaultFailedSync, FaultENOSPC}
-
 // Fault describes one injected failure, delivered to the OnFault hook.
 type Fault struct {
 	Kind    FaultKind
@@ -69,8 +65,7 @@ func (e *InjectedError) Unwrap() error { return e.Err }
 // Plan is one deterministic disk-fault schedule: which write/sync
 // ordinal each one-shot fault fires on. Ordinals are 1-based counts of
 // matching operations seen by the injector (after the path filter);
-// zero disables that class. A Plan is pure data — generate it from a
-// seed with PlanFromSeed, shrink it by zeroing fields.
+// zero disables that class.
 type Plan struct {
 	// TornWriteAt tears the n-th Write: only TornWriteKeep bytes (mod
 	// the write's length) reach the underlying FS, and the write
@@ -84,63 +79,6 @@ type Plan struct {
 	// whole FS; once crossed, writes fail with ENOSPC.
 	ENOSPCAfterBytes int64 `json:"enospcAfterBytes,omitempty"`
 }
-
-// Empty reports whether the plan injects nothing.
-func (p Plan) Empty() bool {
-	return p.TornWriteAt == 0 && p.FailSyncAt == 0 && p.ENOSPCAfterBytes == 0
-}
-
-// String renders the plan compactly for reports.
-func (p Plan) String() string {
-	if p.Empty() {
-		return "disk:none"
-	}
-	s := "disk:"
-	if p.TornWriteAt > 0 {
-		s += fmt.Sprintf("[torn-write@%d keep %d]", p.TornWriteAt, p.TornWriteKeep)
-	}
-	if p.FailSyncAt > 0 {
-		s += fmt.Sprintf("[failed-sync@%d]", p.FailSyncAt)
-	}
-	if p.ENOSPCAfterBytes > 0 {
-		s += fmt.Sprintf("[enospc after %dB]", p.ENOSPCAfterBytes)
-	}
-	return s
-}
-
-// splitmix64 is the repo-wide seeding PRNG (same constants as
-// guard.Chaos and the experiment pool's DeriveSeed).
-func splitmix64(state *uint64) uint64 {
-	*state += 0x9E3779B97F4A7C15
-	z := *state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// PlanFromSeed derives a deterministic disk schedule from a seed: which
-// classes are armed and their ordinals/budgets are all pure functions
-// of the seed, so the same seed replays the same schedule. classMask
-// selects the armed classes (bit i = DiskFaultKinds[i]); pass
-// AllDiskFaults for everything.
-func PlanFromSeed(seed int64, classMask uint) Plan {
-	st := uint64(seed) ^ 0x64697368 // decorrelate from other layers' streams
-	var p Plan
-	if classMask&(1<<FaultTornWrite) != 0 {
-		p.TornWriteAt = int64(splitmix64(&st)%12) + 2
-		p.TornWriteKeep = int(splitmix64(&st) % 48)
-	}
-	if classMask&(1<<FaultFailedSync) != 0 {
-		p.FailSyncAt = int64(splitmix64(&st)%10) + 2
-	}
-	if classMask&(1<<FaultENOSPC) != 0 {
-		p.ENOSPCAfterBytes = int64(splitmix64(&st)%4096) + 512
-	}
-	return p
-}
-
-// AllDiskFaults is the classMask arming every disk fault class.
-const AllDiskFaults = 1<<FaultTornWrite | 1<<FaultFailedSync | 1<<FaultENOSPC
 
 // Injector wraps an FS and executes a Plan. Operation counters are
 // global across the FS (under one mutex), so a plan's ordinals form one

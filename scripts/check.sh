@@ -64,6 +64,12 @@ code=0
 diff "$RES_DIR/full.txt" "$RES_DIR/resumed.txt"
 diff "$RES_DIR/full.json" "$RES_DIR/resumed.json"
 
+# Committed artifacts equal the code: the quick evaluation's -json dump
+# must regenerate byte-identically. The dump is independent of -j (the
+# worker count is excluded from JSON), so any parallelism will do.
+"$RES_DIR/experiments" -quick -j 2 -json "$RES_DIR/quick.json" > /dev/null
+diff results/experiments_quick.json "$RES_DIR/quick.json"
+
 # Optional differential-fuzz pass: FUZZ=1 scripts/check.sh runs the
 # fixed-seed cross-scheme interleaving sweep (>=500 cells; exits 1 on any
 # divergence), requires the report to be byte-identical at -j 8 and -j 1,
@@ -116,79 +122,6 @@ if [ -n "${CKPT:-}" ]; then
         -json "$CKPT_DIR/corrupt.json" > "$CKPT_DIR/corrupt.txt"
     diff "$CKPT_DIR/scratch.txt" "$CKPT_DIR/corrupt.txt"
     diff "$CKPT_DIR/scratch.json" "$CKPT_DIR/corrupt.json"
-fi
-
-# Optional distributed-service pass: SERVICE=1 scripts/check.sh runs the
-# same quick table7 grid under the expserve coordinator with two chaos
-# events — one worker killed by an injected fault on its first cell
-# (documented exit 7) and the coordinator kill -9'd and restarted once on
-# the same state dir and address — then requires the service's tables and
-# -json output to be byte-identical to the single-process run above.
-if [ -n "${SERVICE:-}" ]; then
-    SVC_DIR="$(mktemp -d)"
-    trap 'rm -rf "$OBS_DIR" "$RES_DIR" "$SVC_DIR"' EXIT
-    go build -o "$SVC_DIR/expserve" ./cmd/expserve
-    go build -o "$SVC_DIR/expworker" ./cmd/expworker
-
-    # Coordinator: port 0 picks a free port, -addr-file publishes it.
-    "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr 127.0.0.1:0 \
-        -addr-file "$SVC_DIR/addr" -lease-ttl 2s 2> "$SVC_DIR/serve1.log" &
-    SERVE_PID=$!
-    for _ in $(seq 1 100); do [ -s "$SVC_DIR/addr" ] && break; sleep 0.1; done
-    ADDR="http://$(cat "$SVC_DIR/addr")"
-
-    # One worker dies abruptly on its first cell; the survivor does the
-    # real work (the dead worker's lease expires and redispatches).
-    "$SVC_DIR/expworker" -coordinator "$ADDR" -name doomed -poll 100ms \
-        -fault die-mid-cell@1 2> "$SVC_DIR/doomed.log" &
-    DOOMED_PID=$!
-    "$SVC_DIR/expworker" -coordinator "$ADDR" -name steady -slots 2 -poll 100ms \
-        2> "$SVC_DIR/steady.log" &
-    STEADY_PID=$!
-
-    JOB=$("$SVC_DIR/expserve" submit -coordinator "$ADDR" -quick -only table7 -j 2)
-
-    # Kill -9 the coordinator mid-job and restart it on the same state
-    # dir and address: the journal resumes the job with zero
-    # re-simulation, the workers just retry until the new process answers.
-    sleep 1
-    kill -9 "$SERVE_PID"
-    wait "$SERVE_PID" || true
-    "$SVC_DIR/expserve" serve -dir "$SVC_DIR/state" -addr "$(cat "$SVC_DIR/addr")" \
-        -lease-ttl 2s 2> "$SVC_DIR/serve2.log" &
-    SERVE_PID=$!
-
-    "$SVC_DIR/expserve" wait -coordinator "$ADDR" -job "$JOB" \
-        -out "$SVC_DIR/svc.txt" -json-out "$SVC_DIR/svc.json"
-
-    # Byte-identity against the single-process reference run above.
-    diff "$RES_DIR/full.txt" "$SVC_DIR/svc.txt"
-    diff "$RES_DIR/full.json" "$SVC_DIR/svc.json"
-
-    # The doomed worker died by its injected fault: documented exit 7.
-    wcode=0; wait "$DOOMED_PID" || wcode=$?
-    [ "$wcode" -eq 7 ]
-    # Worker and coordinator drain cleanly on SIGTERM (exit 3 / 0).
-    kill "$STEADY_PID"
-    wcode=0; wait "$STEADY_PID" || wcode=$?
-    [ "$wcode" -eq 3 ]
-    kill "$SERVE_PID"
-    wcode=0; wait "$SERVE_PID" || wcode=$?
-    [ "$wcode" -eq 0 ]
-fi
-
-# Optional torture pass: TORTURE=1 scripts/check.sh runs the cmd/torture
-# harness over 20 fixed seeds — each seed a deterministic disk fault
-# schedule under the coordinator's journals (torn write / failed sync /
-# ENOSPC, followed by a crash-restart from the fsync-accurate crash
-# image) plus seeded network faults (drop, delay, duplicate, reset,
-# truncation) on every worker and client transport. The harness itself
-# asserts byte-identity against the fault-free single-process baseline
-# per seed, and -require-all-classes fails the pass unless every one of
-# the eight fault classes actually fired somewhere in the seed set (no
-# silent zero-coverage schedules).
-if [ -n "${TORTURE:-}" ]; then
-    go run ./cmd/torture -first 1 -n 20 -require-all-classes
 fi
 
 # Optional performance pass: BENCH=1 scripts/check.sh additionally runs
