@@ -2,7 +2,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/guard"
 )
@@ -28,7 +27,10 @@ func checkPlacement(name string, c *Cache) error {
 //
 //   - every valid tag in L1I/L1D/L2 sits in the set it maps to;
 //   - demand misses never exceed the configured MSHR count;
-//   - the prefetch-buffer occupancy count matches the pending map;
+//   - the miss-register file is in strictly ascending line order (so
+//     no line holds two registers);
+//   - the prefetch-buffer occupancy count matches the prefetch entries
+//     in the miss-register file;
 //   - no line is simultaneously pending (in a miss register) and
 //     resident in the data cache.
 //
@@ -46,12 +48,16 @@ func (h *Hierarchy) CheckInvariants() error {
 		}
 	}
 	prefetches := 0
-	for line, pf := range h.pending {
+	for i, pf := range h.pending {
+		if i > 0 && h.pending[i-1].line >= pf.line {
+			return fail(fmt.Errorf("miss register %d holds line %#x after line %#x",
+				i, pf.line, h.pending[i-1].line))
+		}
 		if pf.prefetch {
 			prefetches++
 		}
-		if h.L1D.Present(line << uint32(h.L1D.lineShift)) {
-			return fail(fmt.Errorf("line %#x both pending and resident in L1D", line))
+		if h.L1D.Present(pf.line << uint32(h.L1D.lineShift)) {
+			return fail(fmt.Errorf("line %#x both pending and resident in L1D", pf.line))
 		}
 	}
 	if prefetches != h.prefetchOutstanding {
@@ -71,17 +77,12 @@ func (h *Hierarchy) CheckInvariants() error {
 // OutstandingMisses reports the occupied miss registers, in ascending
 // line order, for watchdog diagnostics.
 func (h *Hierarchy) OutstandingMisses() []guard.MissState {
-	lines := make([]uint32, 0, len(h.pending))
-	for line := range h.pending {
-		lines = append(lines, line)
-	}
-	slices.Sort(lines)
-	out := make([]guard.MissState, 0, len(lines))
-	for _, line := range lines {
+	out := make([]guard.MissState, 0, len(h.pending))
+	for _, pf := range h.pending {
 		out = append(out, guard.MissState{
-			Line:   line,
-			Addr:   line << uint32(h.L1D.lineShift),
-			FillAt: h.pending[line].fill,
+			Line:   pf.line,
+			Addr:   pf.line << uint32(h.L1D.lineShift),
+			FillAt: pf.fill,
 		})
 	}
 	return out

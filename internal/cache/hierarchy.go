@@ -11,6 +11,13 @@ import (
 	"repro/internal/metrics"
 )
 
+// pendingFill is one occupied miss register: an outstanding line fetch.
+type pendingFill struct {
+	line     uint32
+	fill     int64
+	prefetch bool
+}
+
 // Stats counts hierarchy events by miss class plus fetch traffic.
 type Stats struct {
 	DataAccesses int64
@@ -34,8 +41,13 @@ type Hierarchy struct {
 	L2  *Cache
 	TLB *TLB
 
-	// Lockup-free machinery: outstanding L1D misses by line address.
-	pending map[uint32]pendingFill
+	// Lockup-free machinery: the miss-register file, one entry per
+	// outstanding L1D fill (demand or prefetch), kept in strictly
+	// ascending line order. It is a slice, not a map: it holds a handful
+	// of entries, every access scans it, and the fixed order makes fill
+	// installs (which evict conflicting victims) deterministic without a
+	// sort.
+	pending []pendingFill
 
 	// Hardware prefetcher (PrefetchOff by default).
 	prefetch            *prefetcher
@@ -91,7 +103,7 @@ func NewHierarchy(p Params) (*Hierarchy, error) {
 		L1D:      NewCache(p.L1DSize, p.LineSize),
 		L2:       NewCache(p.L2Size, p.LineSize),
 		TLB:      NewTLB(p.TLBEntries),
-		pending:  make(map[uint32]pendingFill),
+		pending:  make([]pendingFill, 0, p.MSHRs+prefetchBufEntries),
 		tlbHold:  make(map[uint32]int64),
 		bankFree: make([]int64, p.NumBanks),
 		prefetch: newPrefetcher(p.Prefetch),
@@ -125,37 +137,66 @@ func (h *Hierarchy) DrainFills(now int64) {
 }
 
 // installReady installs every pending fill that is ready at now (shifted
-// by grace), in ascending line order. Installs evict conflicting victims,
-// so the order must not follow Go's randomized map iteration: a fixed
-// order keeps whole-simulation results bit-reproducible run to run.
+// by grace) in one in-place compaction pass over the miss-register file.
+// Installs evict conflicting victims, so they must happen in a fixed
+// order; the file is kept in ascending line order, which is that order.
 func (h *Hierarchy) installReady(now, grace int64) {
-	var ready []uint32
-	for line, pf := range h.pending {
-		if pf.fill+grace <= now {
-			ready = append(ready, line)
+	kept := h.pending[:0]
+	for _, pf := range h.pending {
+		if pf.fill+grace > now {
+			kept = append(kept, pf)
+			continue
 		}
+		if pf.prefetch {
+			h.prefetchOutstanding--
+		}
+		h.installL1D(pf.line)
+		h.emitFill(now, pf)
 	}
-	slices.Sort(ready)
-	for _, line := range ready {
-		pf := h.pending[line]
-		h.removePending(line, pf)
-		h.installL1D(line)
-		if h.obsSink != nil {
-			h.obsSink.Emit(metrics.Event{
-				Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
-				Addr: line << uint32(h.L1D.lineShift), Arg: pf.fill,
-			})
-		}
+	h.pending = kept
+}
+
+// emitFill reports an installed fill to the event sink, if any.
+func (h *Hierarchy) emitFill(now int64, pf pendingFill) {
+	if h.obsSink != nil {
+		h.obsSink.Emit(metrics.Event{
+			Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
+			Addr: pf.line << uint32(h.L1D.lineShift), Arg: pf.fill,
+		})
 	}
 }
 
-// removePending deletes a pending entry, maintaining the prefetch-buffer
-// occupancy count.
-func (h *Hierarchy) removePending(line uint32, pf pendingFill) {
-	delete(h.pending, line)
+// findPending returns the index of line in the miss-register file, or -1.
+func (h *Hierarchy) findPending(line uint32) int {
+	for i := range h.pending {
+		if h.pending[i].line == line {
+			return i
+		}
+	}
+	return -1
+}
+
+// addPending occupies a miss register, keeping the file in line order
+// and the prefetch-buffer occupancy count current. The file grows past
+// its initial capacity when MSHRs is raised after construction.
+func (h *Hierarchy) addPending(pf pendingFill) {
+	i := 0
+	for i < len(h.pending) && h.pending[i].line < pf.line {
+		i++
+	}
+	h.pending = slices.Insert(h.pending, i, pf)
 	if pf.prefetch {
+		h.prefetchOutstanding++
+	}
+}
+
+// removePending frees miss register i, maintaining the prefetch-buffer
+// occupancy count.
+func (h *Hierarchy) removePending(i int) {
+	if h.pending[i].prefetch {
 		h.prefetchOutstanding--
 	}
+	h.pending = slices.Delete(h.pending, i, i+1)
 }
 
 // expireFills installs fills whose faulting access never returned (the OS
@@ -171,9 +212,9 @@ func (h *Hierarchy) expireFills(now int64) {
 // next access, as always.
 func (h *Hierarchy) NextCompletion(now int64) int64 {
 	next := int64(math.MaxInt64)
-	for _, pf := range h.pending {
-		if pf.fill > now && pf.fill < next {
-			next = pf.fill
+	for i := range h.pending {
+		if fill := h.pending[i].fill; fill > now && fill < next {
+			next = fill
 		}
 	}
 	return next
@@ -271,18 +312,16 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 	}
 
 	line := h.L1D.Line(addr)
-	if pf, ok := h.pending[line]; ok && pf.fill <= now {
+	mshr := h.findPending(line)
+	if mshr >= 0 && h.pending[mshr].fill <= now {
 		// The replayed (or a merging) access arrives after the fill:
 		// serve it from the miss register and install the line.
-		h.removePending(line, pf)
+		pf := h.pending[mshr]
+		h.removePending(mshr)
+		mshr = -1
 		h.installL1D(line)
 		h.notePrefetchUse(line)
-		if h.obsSink != nil {
-			h.obsSink.Emit(metrics.Event{
-				Cycle: now, Kind: metrics.KindMissFill, Ctx: -1,
-				Addr: line << uint32(h.L1D.lineShift), Arg: pf.fill,
-			})
-		}
+		h.emitFill(now, pf)
 	}
 
 	if h.L1D.Present(addr) {
@@ -304,19 +343,19 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 		}
 	}
 
-	if pf, ok := h.pending[line]; ok {
+	if mshr >= 0 {
 		// Merge into the outstanding miss for this line; a merge with an
 		// in-flight prefetch means the prefetch was useful (it started
 		// the fetch early).
 		h.notePrefetchUse(line)
-		return memsys.DataResult{FillAt: pf.fill, Class: memsys.MSHRFull}
+		return memsys.DataResult{FillAt: h.pending[mshr].fill, Class: memsys.MSHRFull}
 	}
 	if len(h.pending)-h.prefetchOutstanding >= h.P.MSHRs {
 		// All demand miss registers busy: retry when the earliest frees.
 		earliest := int64(1<<62 - 1)
-		for _, pf := range h.pending {
-			if pf.fill < earliest {
-				earliest = pf.fill
+		for i := range h.pending {
+			if fill := h.pending[i].fill; fill < earliest {
+				earliest = fill
 			}
 		}
 		h.Stats.DataByClass[memsys.MSHRFull]++
@@ -327,7 +366,7 @@ func (h *Hierarchy) AccessData(addr uint32, write bool, pc uint32, now int64) me
 	// marks the filled line dirty.
 	fillAt, class := h.l2Access(addr, now)
 	fillAt += int64(h.P.L1DFillOcc)
-	h.pending[line] = pendingFill{fill: fillAt}
+	h.addPending(pendingFill{line: line, fill: fillAt})
 	h.Stats.DataByClass[class]++
 	h.maybePrefetch(line, pc, now)
 	if h.obsSink != nil {

@@ -42,12 +42,6 @@ func (m PrefetchMode) String() string {
 // buffer beside the demand MSHRs).
 const prefetchBufEntries = 8
 
-// pendingFill is one outstanding line fetch.
-type pendingFill struct {
-	fill     int64
-	prefetch bool
-}
-
 // strideEntry is one reference-prediction-table row.
 type strideEntry struct {
 	lastLine   uint32
@@ -114,23 +108,23 @@ func (h *Hierarchy) maybePrefetch(missLine, pc uint32, now int64) {
 	if h.L1D.Present(addr) {
 		return
 	}
-	if _, pending := h.pending[target]; pending {
+	if h.findPending(target) >= 0 {
 		return
 	}
 	if h.prefetchOutstanding >= prefetchBufEntries {
 		return
 	}
 	fillAt, _ := h.l2Access(addr, now)
-	h.pending[target] = pendingFill{fill: fillAt + int64(h.P.L1DFillOcc), prefetch: true}
-	h.prefetchOutstanding++
+	h.addPending(pendingFill{line: target, fill: fillAt + int64(h.P.L1DFillOcc), prefetch: true})
 	pf.issued[target] = true
 	h.Stats.PrefetchesIssued++
 }
 
 // notePrefetchUse records a demand access that found its line provided by
-// a prefetch.
+// a prefetch. With prefetching off nothing is ever issued, so it returns
+// before the lookup.
 func (h *Hierarchy) notePrefetchUse(line uint32) {
-	if h.prefetch == nil {
+	if h.prefetch == nil || h.prefetch.mode == PrefetchOff {
 		return
 	}
 	if h.prefetch.issued[line] {

@@ -110,10 +110,11 @@ func (pf *prefetcher) restoreState(r *snapshot.Reader) {
 }
 
 // SaveState serializes the hierarchy: cache and TLB arrays, the
-// outstanding-miss registers and TLB holds (in ascending key order, so
-// identical state always produces identical bytes), the prefetcher,
-// the port/bank occupancy frontiers, the chaos stream position, and
-// Stats. Geometry fields are written as shape checks.
+// miss-register file (kept in ascending line order) and TLB holds (in
+// ascending page order, so identical state always produces identical
+// bytes), the prefetcher, the port/bank occupancy frontiers, the chaos
+// stream position, and Stats. Geometry fields are written as shape
+// checks.
 func (h *Hierarchy) SaveState(w *snapshot.Writer) {
 	w.Section(sectionHierarchy)
 	w.Int(h.P.LineSize)
@@ -125,15 +126,9 @@ func (h *Hierarchy) SaveState(w *snapshot.Writer) {
 	h.TLB.saveState(w)
 	h.prefetch.saveState(w)
 
-	lines := make([]uint32, 0, len(h.pending))
-	for line := range h.pending {
-		lines = append(lines, line)
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	w.U32(uint32(len(lines)))
-	for _, line := range lines {
-		pf := h.pending[line]
-		w.U32(line)
+	w.U32(uint32(len(h.pending)))
+	for _, pf := range h.pending {
+		w.U32(pf.line)
 		w.I64(pf.fill)
 		w.Bool(pf.prefetch)
 	}
@@ -182,13 +177,28 @@ func (h *Hierarchy) RestoreState(r *snapshot.Reader) {
 	h.TLB.restoreState(r)
 	h.prefetch.restoreState(r)
 
-	h.pending = make(map[uint32]pendingFill)
+	// The miss-register file must arrive in strictly ascending line
+	// order with a prefetch count that matches its entries; anything
+	// else is corrupt, never re-sorted. Its length is not checked
+	// against MSHRs: a forked cell may raise MSHRs after the restore.
+	h.pending = h.pending[:0]
+	prefetches := 0
 	n := r.U32()
 	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		line := r.U32()
-		h.pending[line] = pendingFill{fill: r.I64(), prefetch: r.Bool()}
+		pf := pendingFill{line: r.U32(), fill: r.I64(), prefetch: r.Bool()}
+		if k := len(h.pending); k > 0 && h.pending[k-1].line >= pf.line {
+			r.Fail("miss register line %#x follows line %#x", pf.line, h.pending[k-1].line)
+		}
+		if pf.prefetch {
+			prefetches++
+		}
+		h.pending = append(h.pending, pf)
 	}
 	h.prefetchOutstanding = r.Int()
+	if r.Err() == nil && prefetches != h.prefetchOutstanding {
+		r.Fail("prefetch occupancy %d, but %d prefetch miss registers",
+			h.prefetchOutstanding, prefetches)
+	}
 
 	h.tlbHold = make(map[uint32]int64)
 	n = r.U32()

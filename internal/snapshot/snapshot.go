@@ -137,8 +137,9 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unread payload bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-// fail records the sticky error (first failure wins).
-func (r *Reader) fail(format string, args ...any) {
+// Fail records the sticky ErrCorrupt error (first failure wins). Layers
+// call it when a payload decodes but breaks one of their invariants.
+func (r *Reader) Fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("%w: %s at offset %d", ErrCorrupt, fmt.Sprintf(format, args...), r.off)
 	}
@@ -149,7 +150,7 @@ func (r *Reader) take(n int) []byte {
 		return nil
 	}
 	if r.off+n > len(r.buf) {
-		r.fail("truncated (%d bytes wanted, %d left)", n, len(r.buf)-r.off)
+		r.Fail("truncated (%d bytes wanted, %d left)", n, len(r.buf)-r.off)
 		return nil
 	}
 	b := r.buf[r.off : r.off+n]
@@ -197,7 +198,7 @@ func (r *Reader) Int() int { return int(r.I64()) }
 func (r *Reader) String() string {
 	n := r.U32()
 	if int64(n) > int64(r.Remaining()) {
-		r.fail("string length %d exceeds remaining payload", n)
+		r.Fail("string length %d exceeds remaining payload", n)
 		return ""
 	}
 	b := r.take(int(n))
@@ -208,7 +209,7 @@ func (r *Reader) String() string {
 func (r *Reader) Section(tag uint32) {
 	got := r.U32()
 	if r.err == nil && got != tag {
-		r.fail("section tag %#x, want %#x", got, tag)
+		r.Fail("section tag %#x, want %#x", got, tag)
 	}
 }
 
@@ -217,7 +218,7 @@ func (r *Reader) Section(tag uint32) {
 // to a differently-shaped machine and restore must not proceed.
 func (r *Reader) Expect(what string, got, want int64) {
 	if r.err == nil && got != want {
-		r.fail("%s is %d in snapshot but %d in target machine", what, got, want)
+		r.Fail("%s is %d in snapshot but %d in target machine", what, got, want)
 	}
 }
 
@@ -225,7 +226,7 @@ func (r *Reader) Expect(what string, got, want int64) {
 // names).
 func (r *Reader) ExpectStr(what, got, want string) {
 	if r.err == nil && got != want {
-		r.fail("%s is %q in snapshot but %q in target machine", what, got, want)
+		r.Fail("%s is %q in snapshot but %q in target machine", what, got, want)
 	}
 }
 

@@ -23,6 +23,10 @@ GUARD_CHECKS=1 go test ./...
 # sampling, cancellation, or watchdog behavior fails here first.
 go test -count=1 -run 'TestEngineGolden' ./internal/engine
 
+# Per-layer benchmarks run once each (not just compile), so a benchmark
+# that breaks or panics fails the check.
+go test -run '^$' -bench 'BenchmarkHierarchyAccessData|BenchmarkMemAccess|BenchmarkStepFastForward' -benchtime 1x ./internal/...
+
 # Chaos-mode determinism: perturb all memory/network latencies on a
 # race-free app and assert the final memory is byte-identical to the
 # unperturbed run (mpsim runs the reference config itself and fails on
